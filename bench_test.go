@@ -7,6 +7,7 @@
 package hsprofiler
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -234,7 +235,7 @@ func BenchmarkReverseLookup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := extend.Build(sess, sel); err != nil {
+		if _, err := extend.BuildParallel(context.Background(), sess.Fetcher(nil, 1), sel); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,8 +7,8 @@
 //	experiments -all
 //	experiments -all -parallel 4 -workers 8
 //
-// -workers sets the per-run crawl concurrency (the attack pipeline's
-// worker pool; results are identical at any setting), -parallel runs that
+// -workers sets the per-run crawl width (how many fetches the attack
+// pipeline runs at once; results are identical at any width), -parallel runs that
 // many experiments concurrently over the shared lab. Output order always
 // matches selection order.
 package main
@@ -38,7 +38,7 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	outDir := flag.String("o", "", "also write each experiment's output to <dir>/<id>.txt")
 	parallel := flag.Int("parallel", 1, "run up to N experiments concurrently (outputs stay in selection order)")
-	workers := flag.Int("workers", 1, "crawl workers per attack run (1 = sequential; results are identical at any setting)")
+	workers := flag.Int("workers", 1, "crawl width per attack run: concurrent fetches (results are identical at any width)")
 	flag.Parse()
 
 	registry := experiments.All()

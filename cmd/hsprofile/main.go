@@ -151,7 +151,7 @@ func main() {
 	archive := flag.String("archive", "", "write the crawl archive (profiles + friend lists) as JSON to this file")
 	resume := flag.String("resume", "", "resume from a crawl archive written by a previous (possibly interrupted) run")
 	failureBudget := flag.Int("failure-budget", 0, "how many per-item fetch failures to absorb before aborting (0 = fail fast)")
-	workers := flag.Int("workers", 1, "parallel fetch workers for the attack crawl and the Section 6 dossier crawl (1 = sequential; ranked output is identical at any setting)")
+	workers := flag.Int("workers", 1, "crawl width: concurrent fetches for the attack crawl and the Section 6 dossier crawl (ranked output is identical at any width)")
 	reqTimeout := flag.Duration("req-timeout", 0, "per-request timeout; overrunning requests are abandoned and retried (0 = unbounded)")
 	traceOut := flag.String("trace-out", "", "write the run's span tree to this file (\"-\" for stderr) and show live phase progress")
 	manifestOut := flag.String("manifest-out", "", "write a JSON run manifest (params, git describe, phase timings, effort counters) to this file")
@@ -199,7 +199,7 @@ func main() {
 	}
 	cached := store.NewCachedClient(client, crawlStore)
 	sess := crawler.NewSession(cached).Instrument(out.reg).WithLog(out.lg)
-	sess.Timeout = *reqTimeout
+	sess.Base().Timeout = *reqTimeout
 
 	// SIGINT cancels the crawl between requests; the archive below is
 	// written either way, so the next -resume run continues from here.
@@ -290,24 +290,13 @@ func main() {
 	}
 
 	if *dossiers {
-		var d *extend.Dossier
-		// Dossier effort is reported either way: the parallel path tallies on
-		// the fetcher (attempts issued, merged into the same obs counters as
-		// the session when instrumented), the sequential path on the session.
-		var dossierEffort crawler.Effort
+		// The dossier fetcher inherits the session's tuning, metrics and
+		// logger; its logical tally is the dossier effort at every width.
+		fetcher := sess.Fetcher(nil, *workers)
 		dctx, span := obs.StartSpan(ctx, "build-dossiers")
-		if *workers > 1 {
-			fetcher := crawler.NewFetcher(cached, *workers).Instrument(out.reg).WithLog(out.lg)
-			fetcher.Timeout = *reqTimeout
-			d, err = extend.BuildParallel(dctx, fetcher, sel)
-			dossierEffort = fetcher.Effort()
-		} else {
-			before := sess.Effort
-			d, err = extend.Build(sess.WithContext(dctx), sel)
-			sess.WithContext(ctx)
-			dossierEffort = sess.Effort.Sub(before)
-		}
+		d, err := extend.BuildParallel(dctx, fetcher, sel)
 		span.End()
+		dossierEffort := fetcher.Logical()
 		if err != nil {
 			out.flush(true)
 			fatal(err)

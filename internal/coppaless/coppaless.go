@@ -156,7 +156,7 @@ func NaturalApproach(sess *crawler.Session, p Params) (*Result, error) {
 		// Step 4 threshold is applied by Guesses(n); store the count.
 		r.H[id] = k
 	}
-	r.Effort = sess.Effort
+	r.Effort = sess.Effort()
 	return r, nil
 }
 

@@ -103,18 +103,17 @@ type Params struct {
 	Rule ScoreRule
 	// FailureBudget is how many individual fetch failures (a seed profile,
 	// a core friend list, a window profile that stays broken after the
-	// session's own retries) one run absorbs before aborting. An absorbed
+	// fetcher's own retries) one run absorbs before aborting. An absorbed
 	// failure skips just that item — the seed is dropped, the core user is
 	// excluded, the candidate stays unprofiled — and is counted in
 	// Result.FailedFetches. 0 preserves the strict fail-fast behavior.
 	// Context cancellation is never absorbed. The budget is shared across
-	// all workers of a parallel run.
+	// all workers.
 	FailureBudget int
-	// Workers sets the crawl concurrency: 1 (the default) runs the
-	// original sequential pipeline over the Session; >1 runs the fetch
-	// stages batch-parallel over a crawler.Fetcher derived from it. The
-	// ranked output is bit-identical either way, so this is purely a
-	// throughput knob for the latency-bound live-platform regime.
+	// Workers is the crawl width: how many fetches run at once (default
+	// 1) on the crawler.Fetcher the run derives from the session. Every
+	// width runs the same code and yields bit-identical output, so this is
+	// purely a throughput knob for the latency-bound live-platform regime.
 	Workers int
 	// DisableFetchCache opts out of the in-memory memoizing fetch cache
 	// that RunContext interposes below the effort tally. The cache never
@@ -122,10 +121,6 @@ type Params struct {
 	// request); disabling it only forces every request through to the
 	// platform.
 	DisableFetchCache bool
-	// TuneFetcher, when set, is called with the derived fetcher of a
-	// parallel run before the crawl starts — the hook chaos tests use to
-	// neutralize backoff sleeps. Ignored when Workers <= 1.
-	TuneFetcher func(*crawler.Fetcher)
 }
 
 func (p Params) withDefaults() Params {
@@ -212,7 +207,7 @@ type Result struct {
 	Ranked []Candidate
 	// Effort is the request tally for this run.
 	Effort crawler.Effort
-	// Retries counts extra attempts the session spent riding out transient
+	// Retries counts extra attempts the crawl spent riding out transient
 	// failures, and Failures the requests that failed for good, both by
 	// category.
 	Retries  crawler.Effort

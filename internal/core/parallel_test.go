@@ -23,13 +23,10 @@ import (
 	"hsprofiler/internal/worldgen"
 )
 
-// instantFetcher neutralizes backoff sleeps in a derived fetcher, so the
-// fault tests run at full speed; determinism must never depend on timing.
-func instantFetcher(f *crawler.Fetcher) { f.Sleep = func(time.Duration) {} }
-
 // parallelRig builds a fresh session over a fresh platform for one run.
 // Each run gets its own platform and accounts so no state leaks between
-// the runs being compared.
+// the runs being compared. Backoff sleeps are neutralized, so the fault
+// tests run at full speed; determinism must never depend on timing.
 func parallelRig(t testing.TB, world *worldgen.World, wrap func(crawler.Client) crawler.Client) *crawler.Session {
 	t.Helper()
 	p := osn.NewPlatform(world, osn.Facebook(), osn.Config{})
@@ -42,7 +39,7 @@ func parallelRig(t testing.TB, world *worldgen.World, wrap func(crawler.Client) 
 		c = wrap(c)
 	}
 	sess := crawler.NewSession(c)
-	sess.Backoff = func(int) {}
+	sess.Base().Sleep = func(time.Duration) {}
 	return sess
 }
 
@@ -152,7 +149,6 @@ func TestParallelChaosMatchesSequentialClean(t *testing.T) {
 			MaxThreshold:  80,
 			Workers:       workers,
 			FailureBudget: 100,
-			TuneFetcher:   instantFetcher,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d faulted=%v: %v", workers, faulted, err)

@@ -7,8 +7,6 @@ package crawler
 import (
 	"context"
 	"errors"
-	"fmt"
-	"time"
 
 	"hsprofiler/internal/obs"
 	"hsprofiler/internal/obs/evlog"
@@ -96,58 +94,50 @@ func (e Effort) Sub(o Effort) Effort {
 	}
 }
 
-// Session layers effort accounting and account rotation over a Client. It
-// is the object the attack methodology drives. Not safe for concurrent use.
+// Session is the object the attack methodology drives: it keeps the fake-
+// account pool, the event logger, the context consulted between attempts
+// and the swappable client, and it fetches through a width-1 Fetcher it
+// owns. That fetcher is the only retry, timeout and accounting path; the
+// session's Effort, Retries and Failures are its tallies. Not safe for
+// concurrent use.
 type Session struct {
-	client Client
-	// Effort is the running request tally. It counts logical requests
-	// (the paper's Table 3 semantics); extra attempts spent riding out
-	// throttles and transient failures are tallied in Retries instead.
-	Effort Effort
-	// Retries counts extra attempts after throttled or transient
-	// failures, by request category.
-	Retries Effort
-	// Failures counts requests that failed for good: transient errors
-	// that exhausted the retry budget, or unexpected permanent errors
-	// (suspensions and hidden lists are expected outcomes, not failures).
-	Failures Effort
-	// Backoff is called before retrying a throttled request, with the
-	// 0-based attempt number. The default sleeps exponentially from 5 ms.
-	// Replace it in tests for instant retries.
-	Backoff func(attempt int)
-	// MaxRetries bounds throttle/transient retries per request (default 12).
-	MaxRetries int
-	// Timeout bounds each client call (0 = unbounded). A call that
-	// overruns is abandoned on its goroutine and retried like any other
-	// transient failure; the abandoned call's result is discarded.
-	Timeout time.Duration
-
-	ctx       context.Context
-	rot       int
-	suspended map[int]bool
-	m         *crawlMetrics
-	lg        *evlog.Logger
+	f   *Fetcher
+	ctx context.Context
 }
 
-// NewSession wraps a client.
+// NewSession wraps a client. Its fetcher allows 12 transient retries per
+// request; tune it, and every fetcher later derived from the session,
+// through Base.
 func NewSession(c Client) *Session {
-	return &Session{
-		client:     c,
-		Backoff:    DefaultBackoff,
-		MaxRetries: 12,
-		ctx:        context.Background(),
-		suspended:  make(map[int]bool),
-	}
+	f := NewFetcher(c, 1)
+	f.MaxRetries = 12
+	return &Session{f: f, ctx: context.Background()}
 }
 
-// Instrument publishes the session's effort accounting to the registry:
-// crawl_requests_total, crawl_retries_total, crawl_failures_total,
-// crawl_request_seconds and crawl_backoff_seconds_total. The obs counters
-// are incremented at the same points as the Effort tallies, so they match
-// the Table 3 accounting exactly. A nil registry leaves the session
+// Base returns the session's own width-1 fetcher: the retry budget,
+// backoff, timeout and tolerance set on it apply to the session's fetches
+// and are inherited by every fetcher derived through Fetcher.
+func (s *Session) Base() *Fetcher { return s.f }
+
+// Effort is the session's running request tally. It counts logical
+// requests (the paper's Table 3 semantics); extra attempts spent riding
+// out throttles and transient failures are tallied in Retries instead.
+func (s *Session) Effort() Effort { return s.f.Logical() }
+
+// Retries counts extra attempts after throttled or transient failures, by
+// request category.
+func (s *Session) Retries() Effort { return s.f.Retries() }
+
+// Failures counts requests that failed for good: transient errors that
+// exhausted the retry budget, or unexpected permanent errors (suspensions
+// and hidden lists are expected outcomes, not failures).
+func (s *Session) Failures() Effort { return s.f.Failures() }
+
+// Instrument publishes the session's effort accounting to the registry
+// (see Fetcher.Instrument). A nil registry leaves the session
 // uninstrumented (no-op). Returns the session for chaining.
 func (s *Session) Instrument(reg *obs.Registry) *Session {
-	s.m = newCrawlMetrics(reg)
+	s.f.Instrument(reg)
 	return s
 }
 
@@ -164,124 +154,20 @@ func (s *Session) WithContext(ctx context.Context) *Session {
 	return s
 }
 
-// WithLog attaches an event logger: each logical request emits a "crawl"
-// debug event, each retry a warn event with its error class and attempt
-// number, and each terminal failure an error event. A nil logger keeps the
-// session silent. Returns the session for chaining.
+// WithLog attaches an event logger (see Fetcher.WithLog). A nil logger
+// keeps the session silent. Returns the session for chaining.
 func (s *Session) WithLog(lg *evlog.Logger) *Session {
-	s.lg = lg
+	s.f.WithLog(lg)
 	return s
 }
 
 // Log returns the session's event logger (nil if none) so higher layers
-// driving the session — the extend builder, the run orchestration — can
-// log into the same stream.
-func (s *Session) Log() *evlog.Logger { return s.lg }
-
-// DefaultBackoff sleeps 5ms·2^attempt, capped at 500ms — the polite-crawler
-// reaction to the platform's adaptive throttle.
-func DefaultBackoff(attempt int) {
-	d := 5 * time.Millisecond << uint(attempt)
-	if d > 500*time.Millisecond {
-		d = 500 * time.Millisecond
-	}
-	time.Sleep(d)
-}
-
-// countRequest tallies one logical request in both the Effort struct and
-// the obs counters — a single increment point so they cannot diverge.
-func (s *Session) countRequest(c category) {
-	*c.bucket(&s.Effort)++
-	s.m.request(c)
-	s.lg.Debug(s.ctx, "crawl", "request", evlog.Str("category", c.String()))
-}
-
-// doValue runs one client call under the session's per-call Timeout. Each
-// call's result is attempt-local and delivered over the channel, so an
-// abandoned (timed-out) call that completes later discards its outcome
-// into an orphaned buffer instead of racing the retry attempt.
-func doValue[T any](s *Session, fn func() (T, error)) (T, error) {
-	if s.Timeout <= 0 {
-		return fn()
-	}
-	type outcome struct {
-		v   T
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		v, err := fn()
-		done <- outcome{v: v, err: err}
-	}()
-	timer := time.NewTimer(s.Timeout)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		return o.v, o.err
-	case <-timer.C:
-		var zero T
-		return zero, fmt.Errorf("%w after %v", ErrTimeout, s.Timeout)
-	}
-}
-
-// retryValue runs fn, backing off and retrying while it reports a
-// transient error (throttling, 5xx, resets, malformed pages, timeouts), up
-// to MaxRetries attempts, and returns the value of the attempt that
-// actually concluded. Retries and terminal failures are tallied into the
-// category (struct fields and obs counters alike); the session's context
-// is consulted before every attempt so a cancelled crawl stops mid-list
-// rather than at the next phase boundary.
-func retryValue[T any](s *Session, c category, fn func() (T, error)) (T, error) {
-	var zero T
-	for attempt := 0; ; attempt++ {
-		if err := s.ctx.Err(); err != nil {
-			return zero, err
-		}
-		var v T
-		err := s.m.timed(func() error {
-			var err error
-			v, err = doValue(s, fn)
-			return err
-		})
-		if err == nil {
-			return v, nil
-		}
-		if !IsTransient(err) {
-			if !errors.Is(err, osn.ErrSuspended) && !errors.Is(err, osn.ErrHidden) &&
-				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				*c.bucket(&s.Failures)++
-				s.m.failure(c)
-				s.lg.Error(s.ctx, "crawl", "permanent failure",
-					evlog.Str("category", c.String()), evlog.Err("err", err))
-			}
-			return zero, err
-		}
-		if attempt >= s.MaxRetries {
-			*c.bucket(&s.Failures)++
-			s.m.failure(c)
-			s.lg.Error(s.ctx, "crawl", "retries exhausted",
-				evlog.Str("category", c.String()), evlog.Int("attempts", attempt+1),
-				evlog.Str("class", ErrorClass(err)), evlog.Err("err", err))
-			return zero, err
-		}
-		*c.bucket(&s.Retries)++
-		s.m.retry(c, err)
-		s.lg.Warn(s.ctx, "crawl", "retry",
-			evlog.Str("category", c.String()), evlog.Str("class", ErrorClass(err)),
-			evlog.Int("attempt", attempt+1), evlog.Err("err", err))
-		s.m.timedSleep(func() { s.Backoff(attempt) })
-	}
-}
-
-// page carries one paginated client response through retryValue, keeping
-// the results and the has-more flag attempt-local as a unit.
-type page[T any] struct {
-	items []T
-	more  bool
-}
+// driving the session — the run orchestration — can log into the same
+// stream.
+func (s *Session) Log() *evlog.Logger { return s.f.lg }
 
 // Client returns the underlying client.
-func (s *Session) Client() Client { return s.client }
+func (s *Session) Client() Client { return s.f.client }
 
 // SwapClient replaces the session's client, returning the previous one, so
 // callers can layer a decorator — a memoizing fetch cache, a latency model —
@@ -289,9 +175,9 @@ func (s *Session) Client() Client { return s.client }
 // accounting is unaffected: the session counts logical requests above the
 // client. Like the session itself, not safe for concurrent use.
 func (s *Session) SwapClient(c Client) Client {
-	old := s.client
+	old := s.f.client
 	if c != nil {
-		s.client = c
+		s.f.client = c
 	}
 	return old
 }
@@ -300,31 +186,26 @@ func (s *Session) SwapClient(c Client) Client {
 // (nil when uninstrumented), so components derived from the session —
 // fetchers, fetch caches — can publish to the same exposition.
 func (s *Session) MetricsRegistry() *obs.Registry {
-	if s.m == nil {
+	if s.f.m == nil {
 		return nil
 	}
-	return s.m.reg
+	return s.f.m.reg
 }
 
-// Fetcher derives a concurrent fetcher from the session's tuning — retry
-// budget, per-request timeout, metrics and event logger — over the given
-// client, or the session's own when c is nil. The derived fetcher shares
-// the session's suspended-account knowledge but keeps its own effort tally;
-// its Logical tally counts requests the way the session's Effort does.
+// Fetcher derives a fetcher of the given width over the given client, or
+// the session's own when c is nil. It inherits all of the session
+// fetcher's tuning, metrics and event logger, and shares the session's
+// account pool — rotation cursor and suspended accounts — but keeps its
+// own tallies.
 func (s *Session) Fetcher(c Client, workers int) *Fetcher {
 	if c == nil {
-		c = s.client
+		c = s.f.client
 	}
+	b := s.f
 	f := NewFetcher(c, workers)
-	if s.MaxRetries > 0 {
-		f.MaxRetries = s.MaxRetries
-	}
-	f.Timeout = s.Timeout
-	f.m = s.m
-	f.lg = s.lg
-	for a := range s.suspended {
-		f.suspended[a] = true
-	}
+	f.MaxRetries, f.BaseDelay, f.MaxDelay = b.MaxRetries, b.BaseDelay, b.MaxDelay
+	f.JitterSeed, f.Sleep, f.Timeout, f.Tolerance = b.JitterSeed, b.Sleep, b.Timeout, b.Tolerance
+	f.pool, f.m, f.lg = b.pool, b.m, b.lg
 	return f
 }
 
@@ -336,68 +217,21 @@ type FetchCaching interface {
 	CachesFetches()
 }
 
-// nextAccount returns a non-suspended account index, rotating round-robin.
-func (s *Session) nextAccount() (int, error) {
-	n := s.client.Accounts()
-	for i := 0; i < n; i++ {
-		a := (s.rot + i) % n
-		if !s.suspended[a] {
-			s.rot = (a + 1) % n
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("crawler: all %d accounts suspended", n)
-}
-
 // LookupSchool resolves the target school, retrying transient failures.
 func (s *Session) LookupSchool(name string) (osn.SchoolRef, error) {
-	return retryValue(s, catSeed, func() (osn.SchoolRef, error) {
-		return s.client.LookupSchool(name)
-	})
+	return s.f.LookupSchool(s.ctx, name)
 }
 
 // CollectSeeds runs the school search on each of the given accounts,
 // scrolling every account's results to exhaustion, and returns the deduped
 // union — the paper's seed set S. Each page fetch counts one seed request.
 func (s *Session) CollectSeeds(schoolID int, accounts []int) ([]osn.SearchResult, error) {
-	seen := make(map[osn.PublicID]bool)
-	var out []osn.SearchResult
-	for _, acct := range accounts {
-		if s.suspended[acct] {
-			continue
-		}
-		for pg := 0; ; pg++ {
-			s.countRequest(catSeed)
-			res, err := retryValue(s, catSeed, func() (page[osn.SearchResult], error) {
-				results, more, err := s.client.Search(acct, schoolID, pg)
-				return page[osn.SearchResult]{items: results, more: more}, err
-			})
-			if errors.Is(err, osn.ErrSuspended) {
-				s.suspended[acct] = true
-				s.lg.Warn(s.ctx, "crawl", "account suspended, rotating",
-					evlog.Int("account", acct), evlog.Str("category", catSeed.String()))
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("crawler: seed search (account %d page %d): %w", acct, pg, err)
-			}
-			for _, r := range res.items {
-				if !seen[r.ID] {
-					seen[r.ID] = true
-					out = append(out, r)
-				}
-			}
-			if !res.more {
-				break
-			}
-		}
-	}
-	return out, nil
+	return s.f.CollectSeeds(s.ctx, schoolID, accounts)
 }
 
 // AllAccounts returns [0..n) for the client's account pool.
 func (s *Session) AllAccounts() []int {
-	n := s.client.Accounts()
+	n := s.f.client.Accounts()
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
@@ -405,59 +239,15 @@ func (s *Session) AllAccounts() []int {
 	return out
 }
 
-// FetchProfile downloads one public profile, rotating accounts and
-// retrying once per remaining account on suspension.
+// FetchProfile downloads one public profile, rotating accounts on
+// suspension.
 func (s *Session) FetchProfile(id osn.PublicID) (*osn.PublicProfile, error) {
-	for {
-		acct, err := s.nextAccount()
-		if err != nil {
-			return nil, err
-		}
-		s.countRequest(catProfile)
-		pp, err := retryValue(s, catProfile, func() (*osn.PublicProfile, error) {
-			return s.client.Profile(acct, id)
-		})
-		if errors.Is(err, osn.ErrSuspended) {
-			s.suspended[acct] = true
-			s.lg.Warn(s.ctx, "crawl", "account suspended, rotating",
-				evlog.Int("account", acct), evlog.Str("category", catProfile.String()))
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return pp, nil
-	}
+	return s.f.FetchProfile(s.ctx, id)
 }
 
 // FetchFriends downloads a user's complete friend list across all pages.
 // It returns osn.ErrHidden unwrapped if the list is not stranger-visible so
 // callers can branch on it.
 func (s *Session) FetchFriends(id osn.PublicID) ([]osn.FriendRef, error) {
-	var out []osn.FriendRef
-	for pg := 0; ; pg++ {
-		acct, err := s.nextAccount()
-		if err != nil {
-			return nil, err
-		}
-		s.countRequest(catFriend)
-		res, err := retryValue(s, catFriend, func() (page[osn.FriendRef], error) {
-			friends, more, err := s.client.FriendPage(acct, id, pg)
-			return page[osn.FriendRef]{items: friends, more: more}, err
-		})
-		if errors.Is(err, osn.ErrSuspended) {
-			s.suspended[acct] = true
-			s.lg.Warn(s.ctx, "crawl", "account suspended, rotating",
-				evlog.Int("account", acct), evlog.Str("category", catFriend.String()))
-			pg-- // retry the same page on another account
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res.items...)
-		if !res.more {
-			return out, nil
-		}
-	}
+	return s.f.FetchFriends(s.ctx, id)
 }

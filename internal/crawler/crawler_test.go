@@ -67,7 +67,7 @@ func TestCollectSeedsDedupes(t *testing.T) {
 	if len(seeds) == 0 {
 		t.Fatal("no seeds collected")
 	}
-	if s.Effort.SeedRequests == 0 {
+	if s.Effort().SeedRequests == 0 {
 		t.Fatal("seed requests not counted")
 	}
 	// Two accounts must widen the union beyond one account's cap.
@@ -98,7 +98,7 @@ func TestFetchFriendsCountsPages(t *testing.T) {
 			continue
 		}
 		id, _ := p.PublicIDOf(person.ID)
-		before := s.Effort.FriendListRequests
+		before := s.Effort().FriendListRequests
 		friends, err := s.FetchFriends(id)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestFetchFriendsCountsPages(t *testing.T) {
 			t.Fatalf("fetched %d friends, degree %d", len(friends), deg)
 		}
 		wantPages := (deg + 9) / 10
-		if got := s.Effort.FriendListRequests - before; got != wantPages {
+		if got := s.Effort().FriendListRequests - before; got != wantPages {
 			t.Fatalf("used %d requests for %d friends with page size 10 (want %d)", got, deg, wantPages)
 		}
 		return
@@ -208,7 +208,7 @@ func TestHTTPAndDirectSeedParity(t *testing.T) {
 			t.Fatal("seed is a registered minor")
 		}
 	}
-	if hs.Effort.SeedRequests == 0 {
+	if hs.Effort().SeedRequests == 0 {
 		t.Fatal("HTTP effort not counted")
 	}
 }
@@ -232,12 +232,13 @@ func TestSessionAccessors(t *testing.T) {
 	}
 }
 
-func TestDefaultBackoffCaps(t *testing.T) {
-	// Large attempts must not shift into negative durations or sleep
-	// unboundedly; just verify it returns promptly at the cap.
-	start := time.Now()
-	DefaultBackoff(60) // 5ms << 60 overflows without the cap
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("backoff slept %v", elapsed)
+func TestBackoffDelayCaps(t *testing.T) {
+	// Large attempts must not shift into negative durations or grow past
+	// MaxDelay.
+	f := NewFetcher(newScriptClient(1), 1)
+	for _, attempt := range []int{0, 8, 60} { // 2ms << 60 overflows without the cap
+		if d := f.backoffDelay("profile/u1", attempt); d <= 0 || d > 250*time.Millisecond {
+			t.Fatalf("attempt %d: backoff %v outside (0, 250ms]", attempt, d)
+		}
 	}
 }

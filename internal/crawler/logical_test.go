@@ -35,8 +35,8 @@ func TestFetcherCollectSeedsMatchesSession(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: %d seeds, session found %d (or order differs)", workers, len(got), len(want))
 		}
-		if f.Logical() != sess.Effort {
-			t.Fatalf("workers=%d: logical tally %+v, session effort %+v", workers, f.Logical(), sess.Effort)
+		if f.Logical() != sess.Effort() {
+			t.Fatalf("workers=%d: logical tally %+v, session effort %+v", workers, f.Logical(), sess.Effort())
 		}
 	}
 }
@@ -63,7 +63,7 @@ func TestFetcherLogicalMatchesSessionEffort(t *testing.T) {
 
 	wantProfiles := make([]*osn.PublicProfile, len(ids))
 	wantFriends := make([][]osn.FriendRef, len(ids))
-	base := sess.Effort
+	base := sess.Effort()
 	for i, id := range ids {
 		pp, err := sess.FetchProfile(id)
 		if err != nil {
@@ -77,8 +77,8 @@ func TestFetcherLogicalMatchesSessionEffort(t *testing.T) {
 		wantFriends[i] = friends
 	}
 	wantEffort := Effort{
-		ProfileRequests:    sess.Effort.ProfileRequests - base.ProfileRequests,
-		FriendListRequests: sess.Effort.FriendListRequests - base.FriendListRequests,
+		ProfileRequests:    sess.Effort().ProfileRequests - base.ProfileRequests,
+		FriendListRequests: sess.Effort().FriendListRequests - base.FriendListRequests,
 	}
 
 	for _, workers := range []int{1, 4, 8} {

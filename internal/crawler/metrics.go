@@ -126,16 +126,21 @@ func (m *crawlMetrics) retry(c category, err error) {
 	}
 }
 
-// timed runs fn under the latency histogram. The clock is only read when
-// metrics are enabled, keeping the disabled path free of time syscalls.
-func (m *crawlMetrics) timed(fn func() error) error {
+// start reads the clock for a call the latency histogram will observe.
+// The clock is only read when metrics are enabled, keeping the disabled
+// path free of time syscalls.
+func (m *crawlMetrics) start() time.Time {
 	if m == nil {
-		return fn()
+		return time.Time{}
 	}
-	start := time.Now()
-	err := fn()
-	m.latency.ObserveDuration(time.Since(start))
-	return err
+	return time.Now()
+}
+
+// observe records the latency of a call begun at start.
+func (m *crawlMetrics) observe(start time.Time) {
+	if m != nil {
+		m.latency.ObserveDuration(time.Since(start))
+	}
 }
 
 // timedSleep runs the backoff pause under the backoff-time counter.

@@ -47,9 +47,9 @@ func TestSessionMetricsMatchEffort(t *testing.T) {
 		}
 	}
 	snap := reg.Counters()
-	requireCounter(t, snap, `crawl_requests_total{category="seed"}`, s.Effort.SeedRequests)
-	requireCounter(t, snap, `crawl_requests_total{category="profile"}`, s.Effort.ProfileRequests)
-	requireCounter(t, snap, `crawl_requests_total{category="friendlist"}`, s.Effort.FriendListRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="seed"}`, s.Effort().SeedRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="profile"}`, s.Effort().ProfileRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="friendlist"}`, s.Effort().FriendListRequests)
 	requireCounter(t, snap, `crawl_failures_total{category="seed"}`, 0)
 }
 
@@ -71,19 +71,21 @@ func TestSessionMetricsRetries(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	s := NewSession(d).Instrument(reg)
-	s.Backoff = advanceBackoff(clock, 20*time.Second)
+	s.Base().Sleep = advanceBackoff(clock, 20*time.Second)
 	if _, err := s.CollectSeeds(0, s.AllAccounts()); err != nil {
 		t.Fatal(err)
 	}
-	if s.Retries.SeedRequests == 0 {
+	if s.Retries().SeedRequests == 0 {
 		t.Fatal("throttle config produced no retries")
 	}
 	snap := reg.Counters()
-	requireCounter(t, snap, `crawl_retries_total{category="seed",class="throttle"}`, s.Retries.SeedRequests)
+	requireCounter(t, snap, `crawl_retries_total{category="seed",class="throttle"}`, s.Retries().SeedRequests)
+	// Retries do not re-count: the request counter stays the logical tally.
+	requireCounter(t, snap, `crawl_requests_total{category="seed"}`, s.Effort().SeedRequests)
 }
 
 // TestFetcherMetricsMatchEffort checks the parallel fetcher's counters
-// against its Effort view, and that the queue-depth gauge settles back to
+// against its Logical view, and that the queue-depth gauge settles back to
 // zero once the batch drains.
 func TestFetcherMetricsMatchEffort(t *testing.T) {
 	p, f := fetcherRig(t, 6, osn.Config{})
@@ -97,8 +99,8 @@ func TestFetcherMetricsMatchEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Counters()
-	requireCounter(t, snap, `crawl_requests_total{category="profile"}`, f.Effort().ProfileRequests)
-	requireCounter(t, snap, `crawl_requests_total{category="friendlist"}`, f.Effort().FriendListRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="profile"}`, f.Logical().ProfileRequests)
+	requireCounter(t, snap, `crawl_requests_total{category="friendlist"}`, f.Logical().FriendListRequests)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

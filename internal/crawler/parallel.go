@@ -20,11 +20,13 @@ import (
 // like any other flaky-transport failure.
 var ErrTimeout = errors.New("crawler: request timed out")
 
-// Fetcher downloads profiles and friend lists concurrently over a Client.
-// The study's crawler was sequential with sleeps (politeness against the
-// live platform); against the simulator the interesting regime is a
-// parallel crawl with account rotation, which Fetcher provides. It is safe
-// for concurrent use and keeps its own effort tally.
+// Fetcher is the crawler's only fetch path: it downloads search pages,
+// profiles and friend lists over a Client with account rotation, at a
+// width of one or more concurrent fetches. The study's crawler was
+// sequential with sleeps (politeness against the live platform); width 1
+// is that crawl, and a Session drives one. Wider fetchers compress the
+// same crawl wall-clock-wise with identical results. It is safe for
+// concurrent use and keeps its own effort tally.
 //
 // The fetcher is hardened for hostile transports: each request gets an
 // optional per-call timeout, transient failures (throttles, 5xx, resets,
@@ -53,7 +55,8 @@ type Fetcher struct {
 	Sleep func(time.Duration)
 	// Timeout bounds each client call (0 = unbounded). A call that
 	// overruns is abandoned on its goroutine and retried; the abandoned
-	// call's result is discarded.
+	// call's result is discarded. With no timeout and a context that
+	// cannot be cancelled, calls run inline on the caller's goroutine.
 	Timeout time.Duration
 	// Tolerance is how many per-item failures one batch call absorbs
 	// before giving up. Failed items keep their zero-valued result slot
@@ -62,15 +65,50 @@ type Fetcher struct {
 	// preserves the strict abort-on-first-error behavior.
 	Tolerance int
 
+	mu       sync.Mutex
+	effort   Effort
+	logical  Effort
+	retries  Effort
+	failures Effort
+	pool     *accountPool
+	m        *crawlMetrics
+	lg       *evlog.Logger
+}
+
+// accountPool is the fake-account rotation a session shares with every
+// fetcher derived from it: a round-robin cursor and the accounts known to
+// be suspended, so a credential one crawl stage burned is skipped by the
+// next.
+type accountPool struct {
 	mu        sync.Mutex
-	effort    Effort
-	logical   Effort
-	retries   Effort
-	failures  Effort
-	suspended map[int]bool
 	next      int
-	m         *crawlMetrics
-	lg        *evlog.Logger
+	suspended map[int]bool
+}
+
+// take picks a non-suspended account of n round-robin.
+func (p *accountPool) take(n int) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := 0; i < n; i++ {
+		a := (p.next + i) % n
+		if !p.suspended[a] {
+			p.next = (a + 1) % n
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("crawler: all %d accounts suspended", n)
+}
+
+func (p *accountPool) suspend(acct int) {
+	p.mu.Lock()
+	p.suspended[acct] = true
+	p.mu.Unlock()
+}
+
+func (p *accountPool) isSuspended(acct int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.suspended[acct]
 }
 
 // NewFetcher wraps a client with a worker pool of the given size (minimum 1).
@@ -78,17 +116,18 @@ func NewFetcher(c Client, workers int) *Fetcher {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Fetcher{client: c, workers: workers, suspended: make(map[int]bool)}
+	return &Fetcher{client: c, workers: workers, pool: &accountPool{suspended: make(map[int]bool)}}
 }
 
 // Workers reports the pool size.
 func (f *Fetcher) Workers() int { return f.workers }
 
-// Instrument publishes the fetcher's accounting to the registry: the same
-// crawl_* series as Session (note the fetcher counts every attempt issued,
-// not logical requests) plus the crawl_queue_depth gauge tracking batch
-// items fed to the pool and not yet completed. A nil registry is a no-op.
-// Returns the fetcher for chaining.
+// Instrument publishes the fetcher's accounting to the registry:
+// crawl_requests_total (logical requests, matching Logical),
+// crawl_retries_total, crawl_failures_total, crawl_request_seconds,
+// crawl_backoff_seconds_total, and the crawl_queue_depth gauge tracking
+// batch items fed to the pool and not yet completed. A nil registry is a
+// no-op. Returns the fetcher for chaining.
 func (f *Fetcher) Instrument(reg *obs.Registry) *Fetcher {
 	f.m = newCrawlMetrics(reg)
 	return f
@@ -105,19 +144,18 @@ func (f *Fetcher) WithLog(lg *evlog.Logger) *Fetcher {
 	return f
 }
 
-// Effort returns the accumulated request tally. Unlike Session, the fetcher
-// counts every attempt actually issued, including retries.
+// Effort returns the tally of every attempt actually issued, retries
+// included. Logical is the paper's Table 3 count.
 func (f *Fetcher) Effort() Effort {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.effort
 }
 
-// Logical returns the request tally under Session's Table 3 semantics: one
-// count per page or profile fetched (plus one per account rotation after a
-// suspension), with transient retries tallied separately in Retries. A run
-// driven through the fetcher reports the same Effort as the same run driven
-// sequentially through a Session, whatever the worker count.
+// Logical returns the request tally under the paper's Table 3 semantics:
+// one count per page or profile fetched (plus one per account rotation
+// after a suspension), with transient retries tallied separately in
+// Retries. The same crawl reports the same Logical tally at any width.
 func (f *Fetcher) Logical() Effort {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -137,27 +175,6 @@ func (f *Fetcher) Failures() Effort {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.failures
-}
-
-// account picks a non-suspended account round-robin.
-func (f *Fetcher) account() (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := f.client.Accounts()
-	for i := 0; i < n; i++ {
-		a := (f.next + i) % n
-		if !f.suspended[a] {
-			f.next = (a + 1) % n
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("crawler: all %d accounts suspended", n)
-}
-
-func (f *Fetcher) markSuspended(acct int) {
-	f.mu.Lock()
-	f.suspended[acct] = true
-	f.mu.Unlock()
 }
 
 func (f *Fetcher) maxRetries() int {
@@ -203,13 +220,15 @@ func (f *Fetcher) backoffDelay(key string, attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + jitter/2))
 }
 
-// withTimeout runs fn under the per-request timeout and the batch context.
-// An overrunning call is abandoned: it finishes on its own goroutine with
-// its result delivered into an orphaned attempt-local buffer, so a late
-// completion can never race the retry attempt or a returned batch slot.
-func withTimeout[T any](f *Fetcher, ctx context.Context, fn func() (T, error)) (T, error) {
+// withTimeout runs fn(acct) under the per-request timeout and the batch
+// context. With neither to enforce, it runs inline on the caller's
+// goroutine. An overrunning call is abandoned: it finishes on its own
+// goroutine with its result delivered into an orphaned attempt-local
+// buffer, so a late completion can never race the retry attempt or a
+// returned batch slot.
+func withTimeout[T any](f *Fetcher, ctx context.Context, acct int, fn func(acct int) (T, error)) (T, error) {
 	if f.Timeout <= 0 && ctx.Done() == nil {
-		return fn()
+		return fn(acct)
 	}
 	type outcome struct {
 		v   T
@@ -217,7 +236,7 @@ func withTimeout[T any](f *Fetcher, ctx context.Context, fn func() (T, error)) (
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		v, err := fn()
+		v, err := fn(acct)
 		done <- outcome{v: v, err: err}
 	}()
 	var timeout <-chan time.Time
@@ -237,27 +256,59 @@ func withTimeout[T any](f *Fetcher, ctx context.Context, fn func() (T, error)) (
 	}
 }
 
-// call issues one logical request: it rotates accounts on suspension,
-// counts every attempt in the effort tally (and the obs counters when
-// instrumented), and retries transient failures with backoff. It returns
-// the value of the attempt that actually concluded. When the context
-// carries a trace, each logical request gets its own span under the batch
-// span. Terminal platform verdicts (ErrHidden, ErrNotFound, ...) are
-// returned unwrapped for callers to branch on.
-func call[T any](f *Fetcher, ctx context.Context, key string, c category, fn func(acct int) (T, error)) (T, error) {
-	return callOn(f, ctx, key, c, -1, fn)
+// page carries one paginated client response through call, keeping the
+// results and the has-more flag attempt-local as a unit.
+type page[T any] struct {
+	items []T
+	more  bool
 }
 
-// callOn is call with an optional pinned account (pinned >= 0): the request
-// never rotates, and a suspension is returned to the caller instead —
-// school-search result views are per-account, so rotating mid-walk would
-// splice two different result sequences together.
+// Account choices for callOn besides a pinned account index (>= 0).
+const (
+	// anyAccount rotates round-robin over the pool, moving to the next
+	// account after a suspension.
+	anyAccount = -1
+	// noAccount marks the account-less school lookup. It is not one of
+	// Table 3's requests: its retries and failures are tallied under the
+	// seed category, but it counts in neither Effort nor Logical.
+	noAccount = -2
+)
+
+// call issues one logical request on a round-robin account: it rotates
+// accounts on suspension, counts every attempt in the effort tally, and
+// retries transient failures with backoff. It returns the value of the
+// attempt that actually concluded. name formats the request's key
+// ("profile/<id>", ...), which names its trace span and events and seeds
+// its backoff jitter; it is only called when one of those needs the key,
+// so an untraced, unlogged, unretried request formats nothing. When the
+// context carries a trace, each logical request gets its own span under
+// the batch span. Terminal platform verdicts (ErrHidden, ErrNotFound, ...)
+// are returned unwrapped for callers to branch on.
+func call[T any](f *Fetcher, ctx context.Context, name func() string, c category, fn func(acct int) (T, error)) (T, error) {
+	return callOn(f, ctx, name, c, anyAccount, fn)
+}
+
+// callOn is call with an account choice: anyAccount, noAccount, or a
+// pinned account that never rotates — a suspension is returned to the
+// caller instead, since school-search result views are per-account and
+// rotating mid-walk would splice two different result sequences together.
 //
-// Logical-request counting mirrors Session: one count when the request is
-// first issued and one more after each suspension rotation; transient
-// retries do not re-count.
-func callOn[T any](f *Fetcher, ctx context.Context, key string, c category, pinned int, fn func(acct int) (T, error)) (T, error) {
-	spanCtx, span := obs.StartSpan(ctx, key)
+// A request keeps its account through transient retries; only a
+// suspension moves it on. Logical requests are counted once when the
+// request is first issued and once more after each suspension rotation;
+// transient retries do not re-count.
+func callOn[T any](f *Fetcher, ctx context.Context, name func() string, c category, pinned int, fn func(acct int) (T, error)) (T, error) {
+	var key string
+	keyOf := func() string {
+		if key == "" {
+			key = name()
+		}
+		return key
+	}
+	spanCtx, span := ctx, (*obs.Span)(nil)
+	if obs.SpanFromContext(ctx) != nil {
+		spanCtx, span = obs.StartSpan(ctx, keyOf())
+	}
 	defer span.End()
 	// The completion event carries wall time; only read the clock when a
 	// logger will consume it.
@@ -267,65 +318,66 @@ func callOn[T any](f *Fetcher, ctx context.Context, key string, c category, pinn
 		start = time.Now()
 	}
 	var zero T
+	metered := pinned != noAccount
+	acct := pinned
 	attempt := 0
 	countLogical := true
 	for {
 		if err := ctx.Err(); err != nil {
 			return zero, err
 		}
-		acct := pinned
-		if pinned < 0 {
+		if acct == anyAccount {
 			var err error
-			acct, err = f.account()
-			if err != nil {
+			if acct, err = f.pool.take(f.client.Accounts()); err != nil {
 				return zero, err
 			}
 		}
-		f.mu.Lock()
-		*c.bucket(&f.effort)++
-		if countLogical {
-			*c.bucket(&f.logical)++
-			countLogical = false
+		if metered {
+			f.mu.Lock()
+			*c.bucket(&f.effort)++
+			if countLogical {
+				*c.bucket(&f.logical)++
+			}
+			f.mu.Unlock()
+			if countLogical {
+				f.m.request(c)
+			}
 		}
-		f.mu.Unlock()
-		f.m.request(c)
-		var v T
-		err := f.m.timed(func() error {
-			var err error
-			v, err = withTimeout(f, ctx, func() (T, error) { return fn(acct) })
-			return err
-		})
+		countLogical = false
+		t0 := f.m.start()
+		v, err := withTimeout(f, ctx, acct, fn)
+		f.m.observe(t0)
 		if err == nil {
 			if logOn {
 				f.lg.Info(spanCtx, "crawl", "fetched",
-					evlog.Str("key", key), evlog.Str("category", c.String()),
+					evlog.Str("key", keyOf()), evlog.Str("category", c.String()),
 					evlog.Int("attempts", attempt+1), evlog.Dur("ms", time.Since(start)))
 			}
 			return v, nil
 		}
-		if errors.Is(err, osn.ErrSuspended) {
+		if errors.Is(err, osn.ErrSuspended) && metered {
 			// Account rotation, not a retry: the request itself is
 			// fine, the credential is burned.
-			f.markSuspended(acct)
+			f.pool.suspend(acct)
 			if pinned >= 0 {
 				return zero, err
 			}
 			f.lg.Warn(spanCtx, "crawl", "account suspended, rotating",
-				evlog.Int("account", acct), evlog.Str("key", key))
-			countLogical = true
+				evlog.Int("account", acct), evlog.Str("key", keyOf()))
+			acct, countLogical = anyAccount, true
 			continue
 		}
 		if !IsTransient(err) {
-			// Terminal failure accounting mirrors Session: platform verdicts
-			// (hidden, suspended) and cancellation are outcomes, not failures.
-			if !errors.Is(err, osn.ErrHidden) &&
+			// Platform verdicts (hidden, suspended) and cancellation are
+			// outcomes, not failures.
+			if !errors.Is(err, osn.ErrHidden) && !errors.Is(err, osn.ErrSuspended) &&
 				!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 				f.mu.Lock()
 				*c.bucket(&f.failures)++
 				f.mu.Unlock()
 				f.m.failure(c)
 				f.lg.Error(spanCtx, "crawl", "permanent failure",
-					evlog.Str("key", key), evlog.Str("category", c.String()),
+					evlog.Str("key", keyOf()), evlog.Str("category", c.String()),
 					evlog.Err("err", err))
 			}
 			return zero, err
@@ -336,7 +388,7 @@ func callOn[T any](f *Fetcher, ctx context.Context, key string, c category, pinn
 			f.mu.Unlock()
 			f.m.failure(c)
 			f.lg.Error(spanCtx, "crawl", "retries exhausted",
-				evlog.Str("key", key), evlog.Str("category", c.String()),
+				evlog.Str("key", keyOf()), evlog.Str("category", c.String()),
 				evlog.Int("attempts", attempt+1), evlog.Str("class", ErrorClass(err)),
 				evlog.Err("err", err))
 			return zero, err
@@ -346,10 +398,10 @@ func callOn[T any](f *Fetcher, ctx context.Context, key string, c category, pinn
 		f.mu.Unlock()
 		f.m.retry(c, err)
 		f.lg.Warn(spanCtx, "crawl", "retry",
-			evlog.Str("key", key), evlog.Str("category", c.String()),
+			evlog.Str("key", keyOf()), evlog.Str("category", c.String()),
 			evlog.Str("class", ErrorClass(err)), evlog.Int("attempt", attempt+1),
 			evlog.Err("err", err))
-		f.m.timedSleep(func() { f.sleep(f.backoffDelay(key, attempt)) })
+		f.m.timedSleep(func() { f.sleep(f.backoffDelay(keyOf(), attempt)) })
 		attempt++
 	}
 }
@@ -358,12 +410,9 @@ func callOn[T any](f *Fetcher, ctx context.Context, key string, c category, pinn
 // are all collected (none silently dropped); once more than Tolerance items
 // have failed, the remaining work is cancelled and every collected error is
 // returned via errors.Join. Within tolerance, failed items are absorbed and
-// forEach returns nil.
+// forEach returns nil. At width 1 the items run in order on the caller's
+// goroutine under the caller's context, so no goroutine is started.
 func (f *Fetcher) forEach(outer context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	ctx, cancel := context.WithCancel(outer)
-	defer cancel()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var errs []error
 	// Queue-depth gauge: +1 as an item is fed to the pool, -1 as its work
@@ -375,49 +424,69 @@ func (f *Fetcher) forEach(outer context.Context, n int, fn func(ctx context.Cont
 			f.m.queue.Add(float64(done.Load() - fed.Load()))
 		}
 	}()
-	for w := 0; w < f.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				err := fn(ctx, i)
-				done.Add(1)
-				if f.m != nil {
-					f.m.queue.Dec()
-				}
-				if err == nil {
-					continue
-				}
-				if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-					// Cancellation noise from a sibling's abort or
-					// the caller's context, not an item failure.
-					return
-				}
-				mu.Lock()
-				errs = append(errs, err)
-				abort := len(errs) > f.Tolerance
-				mu.Unlock()
-				if abort {
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
+	queued := func() {
 		if f.m != nil {
 			f.m.queue.Inc()
 		}
 		fed.Add(1)
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
 	}
-	close(jobs)
-	wg.Wait()
+	// run does item i and reports whether its worker must stop: on
+	// cancellation, or once more than Tolerance items have failed.
+	run := func(ctx context.Context, i int) bool {
+		err := fn(ctx, i)
+		done.Add(1)
+		if f.m != nil {
+			f.m.queue.Dec()
+		}
+		if err == nil {
+			return false
+		}
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			// Cancellation noise from a sibling's abort or the caller's
+			// context, not an item failure.
+			return true
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		errs = append(errs, err)
+		return len(errs) > f.Tolerance
+	}
+	if f.workers == 1 {
+		for i := 0; i < n && outer.Err() == nil; i++ {
+			queued()
+			if run(outer, i) {
+				break
+			}
+		}
+	} else {
+		ctx, cancel := context.WithCancel(outer)
+		defer cancel()
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < f.workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range jobs {
+					if run(ctx, i) {
+						cancel()
+						return
+					}
+				}
+			}()
+		}
+	feed:
+		for i := 0; i < n; i++ {
+			queued()
+			select {
+			case jobs <- i:
+			case <-ctx.Done():
+				break feed
+			}
+		}
+		close(jobs)
+		wg.Wait()
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(errs) > f.Tolerance {
@@ -433,32 +502,38 @@ feed:
 
 // ForEach runs fn(i) for every index in [0, n) over the fetcher's worker
 // pool — the raw bounded-concurrency engine underneath the batch helpers,
-// exported so higher layers (core.RunContext's parallel attack pipeline)
-// can drive their own per-item work through the same pool, tolerance and
+// exported so higher layers (core.RunContext's attack pipeline) can drive
+// their own per-item work through the same pool, tolerance and
 // cancellation semantics. See forEach for the error contract.
 func (f *Fetcher) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	return f.forEach(ctx, n, fn)
 }
 
-// FetchProfile downloads one public profile through the fetcher — the
-// concurrent counterpart of Session.FetchProfile, for callers composing
-// their own batches via ForEach. Terminal platform verdicts are returned
-// unwrapped.
+// LookupSchool resolves a school by its public name, retrying transient
+// failures. The lookup is not a Table 3 request (see noAccount).
+func (f *Fetcher) LookupSchool(ctx context.Context, name string) (osn.SchoolRef, error) {
+	return callOn(f, ctx, func() string { return "school/" + name }, catSeed, noAccount, func(int) (osn.SchoolRef, error) {
+		return f.client.LookupSchool(name)
+	})
+}
+
+// FetchProfile downloads one public profile through the fetcher, for
+// callers composing their own batches via ForEach. Terminal platform
+// verdicts are returned unwrapped.
 func (f *Fetcher) FetchProfile(ctx context.Context, id osn.PublicID) (*osn.PublicProfile, error) {
-	return call(f, ctx, "profile/"+string(id), catProfile, func(acct int) (*osn.PublicProfile, error) {
+	return call(f, ctx, func() string { return "profile/" + string(id) }, catProfile, func(acct int) (*osn.PublicProfile, error) {
 		return f.client.Profile(acct, id)
 	})
 }
 
-// FetchFriends downloads one user's complete friend list across all pages —
-// the concurrent counterpart of Session.FetchFriends, with identical
-// semantics: osn.ErrHidden is returned unwrapped if the list is not
-// stranger-visible, and a visible-but-empty list yields a nil slice, just
-// as the session's accumulator does.
+// FetchFriends downloads one user's complete friend list across all pages:
+// osn.ErrHidden is returned unwrapped if the list is not stranger-visible,
+// and a visible-but-empty list yields a nil slice.
 func (f *Fetcher) FetchFriends(ctx context.Context, id osn.PublicID) ([]osn.FriendRef, error) {
 	var friends []osn.FriendRef
 	for pg := 0; ; pg++ {
-		res, err := call(f, ctx, fmt.Sprintf("friends/%s/%d", id, pg), catFriend, func(acct int) (page[osn.FriendRef], error) {
+		name := func() string { return fmt.Sprintf("friends/%s/%d", id, pg) }
+		res, err := call(f, ctx, name, catFriend, func(acct int) (page[osn.FriendRef], error) {
 			batch, more, err := f.client.FriendPage(acct, id, pg)
 			return page[osn.FriendRef]{items: batch, more: more}, err
 		})
@@ -472,28 +547,25 @@ func (f *Fetcher) FetchFriends(ctx context.Context, id osn.PublicID) ([]osn.Frie
 	}
 }
 
-// CollectSeeds runs the school search on every account concurrently — one
-// worker per account, each walking its own result pages in order, since
-// search views are per-account — and merges the per-account walks in
-// account order with first-seen dedup, reproducing Session.CollectSeeds'
-// output exactly. A suspension mid-walk drops that account's remaining
-// pages, as it does sequentially; accounts already known suspended are
-// skipped.
+// CollectSeeds runs the school search on every account over the worker
+// pool — each walk pinned to its account and paging in order, since search
+// views are per-account — and merges the per-account walks in account
+// order with first-seen dedup, so the seed list is the same at any width.
+// A suspension mid-walk drops that account's remaining pages; accounts
+// already known suspended are skipped.
 func (f *Fetcher) CollectSeeds(ctx context.Context, schoolID int, accounts []int) ([]osn.SearchResult, error) {
 	ctx, span := obs.StartSpan(ctx, "collect-seeds-batch")
 	defer span.End()
 	perAccount := make([][]osn.SearchResult, len(accounts))
 	err := f.forEach(ctx, len(accounts), func(ctx context.Context, i int) error {
 		acct := accounts[i]
-		f.mu.Lock()
-		skip := f.suspended[acct]
-		f.mu.Unlock()
-		if skip {
+		if f.pool.isSuspended(acct) {
 			return nil
 		}
 		var walk []osn.SearchResult
 		for pg := 0; ; pg++ {
-			res, err := callOn(f, ctx, fmt.Sprintf("search/%d/%d/%d", acct, schoolID, pg), catSeed, acct, func(acct int) (page[osn.SearchResult], error) {
+			name := func() string { return fmt.Sprintf("search/%d/%d/%d", acct, schoolID, pg) }
+			res, err := callOn(f, ctx, name, catSeed, acct, func(acct int) (page[osn.SearchResult], error) {
 				results, more, err := f.client.Search(acct, schoolID, pg)
 				return page[osn.SearchResult]{items: results, more: more}, err
 			})
@@ -544,9 +616,7 @@ func (f *Fetcher) ProfilesContext(ctx context.Context, ids []osn.PublicID) ([]*o
 	defer span.End()
 	out := make([]*osn.PublicProfile, len(ids))
 	err := f.forEach(ctx, len(ids), func(ctx context.Context, i int) error {
-		pp, err := call(f, ctx, "profile/"+string(ids[i]), catProfile, func(acct int) (*osn.PublicProfile, error) {
-			return f.client.Profile(acct, ids[i])
-		})
+		pp, err := f.FetchProfile(ctx, ids[i])
 		if err != nil {
 			return fmt.Errorf("crawler: profile %s: %w", ids[i], err)
 		}
@@ -584,7 +654,7 @@ func (f *Fetcher) FriendListsContext(ctx context.Context, ids []osn.PublicID) ([
 		}
 		if friends == nil {
 			// Distinguish "visible but empty" from "hidden" in the batch
-			// result (FetchFriends itself mirrors Session's nil).
+			// result (FetchFriends itself returns nil).
 			friends = []osn.FriendRef{}
 		}
 		out[i] = friends // committed on the worker goroutine, never by an abandoned attempt

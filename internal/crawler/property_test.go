@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +29,7 @@ type scriptClient struct {
 	mu              sync.Mutex
 	calls           int
 	attempts        map[osn.PublicID]int
+	callAccts       map[osn.PublicID][]int // id → account of every call, in order
 	acctCalls       map[int]int
 	suspended       map[int]bool
 	suspendedServed map[int]int
@@ -44,6 +46,7 @@ func newScriptClient(accounts int) *scriptClient {
 		friends:         map[osn.PublicID][][]osn.FriendRef{},
 		block:           map[osn.PublicID]chan struct{}{},
 		attempts:        map[osn.PublicID]int{},
+		callAccts:       map[osn.PublicID][]int{},
 		acctCalls:       map[int]int{},
 		suspended:       map[int]bool{},
 		suspendedServed: map[int]int{},
@@ -77,6 +80,7 @@ func (m *scriptClient) serve(acct int, id osn.PublicID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.calls++
+	m.callAccts[id] = append(m.callAccts[id], acct)
 	m.acctCalls[acct]++
 	if m.suspended[acct] {
 		m.suspendedServed[acct]++
@@ -177,6 +181,87 @@ func TestFetcherPropertyAlignmentAndEffort(t *testing.T) {
 		if got := f.Retries().ProfileRequests; got != wantExtra {
 			t.Fatalf("trial %d: retries %d, want %d", trial, got, wantExtra)
 		}
+	}
+}
+
+// TestFetcherRetryKeepsAccount: a transient failure is a property of the
+// attempt, not the credential, so its retry goes to the same account; only
+// a suspension rotates. Checked at width 1 (the session's path) and 4.
+func TestFetcherRetryKeepsAccount(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		m := newScriptClient(3)
+		var ids []osn.PublicID
+		for i := 0; i < 12; i++ {
+			id := osn.PublicID(fmt.Sprintf("u%d", i))
+			m.transientBefore[id] = 1 + i%2
+			ids = append(ids, id)
+		}
+		if _, err := instantFetcher(m, workers).Profiles(ids); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, id := range ids {
+			accts := m.callAccts[id]
+			if len(accts) != 1+m.transientBefore[id] {
+				t.Fatalf("workers=%d: %s took %d calls, want %d", workers, id, len(accts), 1+m.transientBefore[id])
+			}
+			for _, a := range accts[1:] {
+				if a != accts[0] {
+					t.Fatalf("workers=%d: %s retried across accounts %v", workers, id, accts)
+				}
+			}
+		}
+	}
+}
+
+// goroutineID parses the calling goroutine's id from its stack header
+// ("goroutine 18 [running]: ...").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// goroutineClient records the goroutine every Profile call runs on.
+type goroutineClient struct {
+	*scriptClient
+	mu   sync.Mutex
+	gids []string
+}
+
+func (c *goroutineClient) Profile(acct int, id osn.PublicID) (*osn.PublicProfile, error) {
+	c.mu.Lock()
+	c.gids = append(c.gids, goroutineID())
+	c.mu.Unlock()
+	return c.scriptClient.Profile(acct, id)
+}
+
+// TestWidthOneRunsInline: at width 1, with a context that cannot be
+// cancelled and no timeout, every client call — through the session and
+// through a width-1 batch — runs on the caller's goroutine, so the
+// sequential crawl starts no goroutine per call. A timeout needs one.
+func TestWidthOneRunsInline(t *testing.T) {
+	c := &goroutineClient{scriptClient: newScriptClient(2)}
+	self := goroutineID()
+	s := NewSession(c)
+	if _, err := s.FetchProfile("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Fetcher(nil, 1).ProfilesContext(context.Background(), []osn.PublicID{"b", "c"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.gids) != 3 {
+		t.Fatalf("%d calls recorded, want 3", len(c.gids))
+	}
+	for i, g := range c.gids {
+		if g != self {
+			t.Fatalf("call %d ran on goroutine %s, caller is %s", i, g, self)
+		}
+	}
+	s.Base().Timeout = time.Minute
+	if _, err := s.FetchProfile("d"); err != nil {
+		t.Fatal(err)
+	}
+	if g := c.gids[3]; g == self {
+		t.Fatal("a call under a timeout ran on the caller's goroutine; the check cannot tell the paths apart")
 	}
 }
 
@@ -356,8 +441,8 @@ func TestSessionTimeoutRetries(t *testing.T) {
 	release := make(chan struct{})
 	m.block["slow"] = release
 	s := NewSession(m)
-	s.Backoff = func(int) {}
-	s.Timeout = 20 * time.Millisecond
+	s.Base().Sleep = func(time.Duration) {}
+	s.Base().Timeout = 20 * time.Millisecond
 	pp, err := s.FetchProfile("slow")
 	// Release the abandoned first attempt while the result is still live,
 	// so a shared-variable write would be caught by the race detector.
@@ -368,11 +453,11 @@ func TestSessionTimeoutRetries(t *testing.T) {
 	if pp == nil || pp.ID != "slow" {
 		t.Fatalf("profile = %v, want slow", pp)
 	}
-	if s.Retries.ProfileRequests == 0 {
+	if s.Retries().ProfileRequests == 0 {
 		t.Fatal("timeout retry not tallied")
 	}
-	if s.Effort.ProfileRequests != 1 {
-		t.Fatalf("effort counts %d profile requests, want 1 logical request", s.Effort.ProfileRequests)
+	if s.Effort().ProfileRequests != 1 {
+		t.Fatalf("effort counts %d profile requests, want 1 logical request", s.Effort().ProfileRequests)
 	}
 }
 

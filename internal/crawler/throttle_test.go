@@ -16,8 +16,8 @@ func (c *fakeClock) now() time.Time { return c.t }
 
 // advanceBackoff advances the fake clock instead of sleeping, so throttle
 // retries succeed instantly in test time.
-func advanceBackoff(c *fakeClock, step time.Duration) func(int) {
-	return func(int) { c.t = c.t.Add(step) }
+func advanceBackoff(c *fakeClock, step time.Duration) func(time.Duration) {
+	return func(time.Duration) { c.t = c.t.Add(step) }
 }
 
 func TestSessionRetriesThrottled(t *testing.T) {
@@ -36,7 +36,7 @@ func TestSessionRetriesThrottled(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := NewSession(d)
-	sess.Backoff = advanceBackoff(clock, 20*time.Second)
+	sess.Base().Sleep = advanceBackoff(clock, 20*time.Second)
 
 	// Far more requests than the window allows in one instant: the
 	// session must ride the throttle via backoff and still finish.
@@ -73,8 +73,8 @@ func TestSessionThrottleRetriesExhaust(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := NewSession(d)
-	sess.Backoff = func(int) {} // never advances time: retries cannot help
-	sess.MaxRetries = 3
+	sess.Base().Sleep = func(time.Duration) {} // never advances time: retries cannot help
+	sess.Base().MaxRetries = 3
 
 	if _, _, err := d.Search(0, 0, 0); err != nil {
 		t.Fatal(err) // consume the only slot

@@ -25,8 +25,8 @@ type Lab struct {
 	mu    sync.Mutex
 	cells map[string]*cell
 	runs  map[string]*core.Result
-	// workers is the crawl concurrency passed to every attack run
-	// (0 or 1 = sequential); faultRate, when positive, injects
+	// workers is the crawl width passed to every attack run (0 means
+	// 1); faultRate, when positive, injects
 	// deterministic transport faults into every crawl; transport picks
 	// the wire (HTML scraping vs the JSON API) crawls ride.
 	workers   int
@@ -194,9 +194,9 @@ func buildCell(sc Scenario, world *worldgen.World, transport Transport, withTele
 	}, nil
 }
 
-// SetWorkers sets the crawl concurrency for subsequent runs (0 or 1 =
-// sequential). Runs are cached per worker count, so switching does not
-// leak results across settings.
+// SetWorkers sets the crawl width for subsequent runs (0 means 1). Runs
+// are cached per width, so switching does not leak results across
+// settings.
 func (l *Lab) SetWorkers(n int) {
 	l.mu.Lock()
 	l.workers = n

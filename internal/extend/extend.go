@@ -10,7 +10,6 @@ package extend
 
 import (
 	"context"
-	"errors"
 	"sort"
 
 	"hsprofiler/internal/core"
@@ -36,51 +35,16 @@ type Dossier struct {
 	FriendNames map[osn.PublicID]string
 }
 
-// Build downloads profiles and visible friend lists for every member of H
-// and performs reverse lookup for the hidden ones. The per-request effort
-// lands on the session's tally, as in the paper's §6 crawl.
-func Build(sess *crawler.Session, sel []core.Inferred) (*Dossier, error) {
-	sess.Log().Info(context.Background(), "extend", "dossier build started",
-		evlog.Int("students", len(sel)))
-	profiles := make([]*osn.PublicProfile, len(sel))
-	lists := make([][]osn.FriendRef, len(sel))
-	for i, s := range sel {
-		pp, err := sess.FetchProfile(s.ID)
-		if err != nil {
-			return nil, err
-		}
-		profiles[i] = pp
-		if !pp.FriendListVisible {
-			continue
-		}
-		friends, err := sess.FetchFriends(s.ID)
-		if errors.Is(err, osn.ErrHidden) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		lists[i] = friends
-		if friends == nil {
-			lists[i] = []osn.FriendRef{} // visible but empty: keep the entry
-		}
-	}
-	d := assemble(sel, profiles, lists)
-	sess.Log().Info(context.Background(), "extend", "dossier assembled",
-		evlog.Int("profiles", len(d.Profiles)),
-		evlog.Int("public_lists", len(d.PublicFriends)),
-		evlog.Int("recovered_lists", len(d.RecoveredFriends)))
-	return d, nil
-}
-
-// BuildParallel is Build over a worker pool: profiles in one batch, then
-// the visible friend lists in a second. The dossier is identical to the
-// sequential one — batch order does not leak into the result — so the
-// paper's §6 crawl can be compressed wall-clock-wise without changing what
-// the third party learns. Effort lands on the fetcher's tally.
+// BuildParallel downloads profiles and visible friend lists for every
+// member of H over the fetcher — profiles in one batch, then the visible
+// friend lists in a second — and performs reverse lookup for the hidden
+// ones. The dossier is the same at every fetcher width — batch order does
+// not leak into the result — so the paper's §6 crawl can be compressed
+// wall-clock-wise without changing what the third party learns. Effort
+// lands on the fetcher's tally.
 func BuildParallel(ctx context.Context, f *crawler.Fetcher, sel []core.Inferred) (*Dossier, error) {
 	lg := evlog.FromContext(ctx)
-	lg.Info(ctx, "extend", "parallel dossier build started",
+	lg.Info(ctx, "extend", "dossier build started",
 		evlog.Int("students", len(sel)), evlog.Int("workers", f.Workers()))
 	ids := make([]osn.PublicID, len(sel))
 	for i, s := range sel {
@@ -94,8 +58,7 @@ func BuildParallel(ctx context.Context, f *crawler.Fetcher, sel []core.Inferred)
 	var visIDs []osn.PublicID
 	for i, pp := range profiles {
 		// A nil profile is an item the fetcher's Tolerance absorbed; skip it
-		// so a tolerant crawl degrades per-item, like the sequential path
-		// under a failure budget.
+		// so a tolerant crawl degrades per-item.
 		if pp != nil && pp.FriendListVisible {
 			visIdx = append(visIdx, i)
 			visIDs = append(visIDs, ids[i])
@@ -108,7 +71,7 @@ func BuildParallel(ctx context.Context, f *crawler.Fetcher, sel []core.Inferred)
 	lists := make([][]osn.FriendRef, len(sel))
 	for k, i := range visIdx {
 		// A nil slot means the list went hidden between the profile fetch
-		// and the list fetch; treat it like the sequential ErrHidden skip.
+		// and the list fetch: no list.
 		if visLists[k] != nil {
 			lists[i] = visLists[k]
 		}
@@ -124,7 +87,7 @@ func BuildParallel(ctx context.Context, f *crawler.Fetcher, sel []core.Inferred)
 // assemble builds the dossier from downloads aligned with sel: profiles[i]
 // belongs to sel[i], and lists[i] is its visible friend list (nil when the
 // list is hidden or was never fetched). The reverse-lookup pass is pure
-// computation, shared by the sequential and parallel builders.
+// computation.
 func assemble(sel []core.Inferred, profiles []*osn.PublicProfile, lists [][]osn.FriendRef) *Dossier {
 	d := &Dossier{
 		Profiles:         make(map[osn.PublicID]*osn.PublicProfile, len(sel)),

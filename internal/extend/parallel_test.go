@@ -9,9 +9,9 @@ import (
 	"hsprofiler/internal/osn"
 )
 
-// TestBuildParallelMatchesSequential: the parallel dossier builder must be
-// a pure wall-clock optimisation — same dossier, same total effort, no
-// dependence on batch interleaving.
+// TestBuildParallelMatchesSequential: the fixture's width-1 dossier and a
+// width-8 build must agree — fetch width is a pure wall-clock optimisation,
+// with no dependence on batch interleaving.
 func TestBuildParallelMatchesSequential(t *testing.T) {
 	f := buildFixture(t)
 	fetcher := crawler.NewFetcher(f.sess.Client(), 8)

@@ -151,7 +151,9 @@ func (s *epStats) record(o Outcome, latency time.Duration) {
 	s.hist.Observe(latency)
 }
 
-// EndpointReport is the per-endpoint section of a Report.
+// EndpointReport is the per-endpoint section of a Report. ErrorRate is
+// the share of attempts that failed; the overall rate counts the open
+// loop's dropped arrivals as failed attempts.
 type EndpointReport struct {
 	Requests  uint64            `json:"requests"`
 	RPS       float64           `json:"rps"`
@@ -572,7 +574,7 @@ func (g *gen) report(openLoop bool, window time.Duration) *Report {
 	overall := &epStats{}
 	for i := range g.stats {
 		s := &g.stats[i]
-		rep.Endpoints[epNames[i]] = endpointReport(s, secs)
+		rep.Endpoints[epNames[i]] = endpointReport(s, secs, 0)
 		overall.hist.Merge(&s.hist)
 		for o := range s.outcomes {
 			overall.outcomes[o].Add(s.outcomes[o].Load())
@@ -580,11 +582,13 @@ func (g *gen) report(openLoop bool, window time.Duration) *Report {
 		rep.Requests += s.hist.Count()
 	}
 	rep.RPS = float64(rep.Requests) / secs
-	rep.Overall = endpointReport(overall, secs)
+	rep.Overall = endpointReport(overall, secs, rep.Dropped)
 	return rep
 }
 
-func endpointReport(s *epStats, secs float64) *EndpointReport {
+// endpointReport summarizes one endpoint's stats; dropped arrivals, never
+// sent, count as failed attempts in its error rate.
+func endpointReport(s *epStats, secs float64, dropped uint64) *EndpointReport {
 	n := s.hist.Count()
 	r := &EndpointReport{
 		Requests: n,
@@ -595,7 +599,7 @@ func endpointReport(s *epStats, secs float64) *EndpointReport {
 		P99Us:    s.hist.Quantile(0.99).Microseconds(),
 		MaxUs:    s.hist.Max().Microseconds(),
 	}
-	var failures uint64
+	failures := dropped
 	for o := Outcome(0); o < numOutcomes; o++ {
 		c := s.outcomes[o].Load()
 		if c == 0 || o == OK {
@@ -609,8 +613,8 @@ func endpointReport(s *epStats, secs float64) *EndpointReport {
 			failures += c
 		}
 	}
-	if n > 0 {
-		r.ErrorRate = float64(failures) / float64(n)
+	if attempts := n + dropped; attempts > 0 {
+		r.ErrorRate = float64(failures) / float64(attempts)
 	}
 	r.HistLowsUs, r.HistCounts = s.hist.Buckets()
 	return r

@@ -52,12 +52,15 @@ func TestConcurrentEpochRotation(t *testing.T) {
 			res, more, eid, err := p.SchoolSearchEpoch(tok, 0, page)
 			if err != nil {
 				t.Errorf("school search: %v", err)
-				return nil, 0, false
+				return nil, epoch, false
 			}
 			if page == 0 {
 				epoch = eid
 			} else if eid != epoch {
-				return nil, 0, false // rotated mid-walk: cursor restarted, no claim
+				// Rotated mid-walk: cursor restarted, no claim on the ids.
+				// The epoch returned is the newest one the walk saw, so the
+				// caller's monotonicity check still compares real ids.
+				return nil, eid, false
 			}
 			for _, r := range res {
 				ids = append(ids, r.ID)
