@@ -46,7 +46,7 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "fault injector seed (same seed + same request sequence = same faults)")
 	faultLatency := flag.Duration("fault-latency", 0, "max injected latency; applied to roughly a quarter of requests (0 = off)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, JSON /metrics.json, /healthz and net/http/pprof on this address (empty = disabled)")
-	manifestOut := flag.String("manifest-out", "", "write a JSON run manifest (params, freeze-phase timing, request counters) to this file on shutdown")
+	manifestOut := flag.String("manifest-out", "", "write a JSON run manifest (params, world-load and freeze-phase timing, request counters) to this file on shutdown")
 	eventsOut := flag.String("events-out", "", "write the structured event log (JSONL: access log, policy gates, account transitions, injected faults) to this file")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "serving listener: max time to read a request header")
 	readTimeout := flag.Duration("read-timeout", 15*time.Second, "serving listener: max time to read a full request")
@@ -100,12 +100,25 @@ func main() {
 	}
 	serverCfg := sf.Server.WithDefaults()
 
+	// The trace exists before the world does, so the manifest times the
+	// world load (read plus validate, or generation) as its own phase next
+	// to the read-plane freeze.
+	ctx := context.Background()
+	var tr *obs.Trace
+	if *manifestOut != "" {
+		tr = obs.NewTrace("osnd")
+		ctx = tr.Context(ctx)
+	}
+
 	var w *worldgen.World
 	var err error
+	worldVerb, worldStart := "loaded", time.Now()
+	_, worldSpan := obs.StartSpan(ctx, "worldgen.load")
 	switch {
 	case *worldFile != "":
 		w, err = worldgen.ReadSnapshotFile(*worldFile)
 	case *scenario != "":
+		worldVerb = "generated"
 		var cfg worldgen.Config
 		switch *scenario {
 		case "hs1":
@@ -123,6 +136,8 @@ func main() {
 	default:
 		err = fmt.Errorf("one of -world or -scenario is required")
 	}
+	worldSpan.End()
+	worldDur := time.Since(worldStart)
 	if err != nil {
 		fatal(err)
 	}
@@ -163,13 +178,6 @@ func main() {
 		eventsFile = f
 		lg = evlog.New(evlog.Options{Sink: f, Sample: map[string]int{"osn.shard": 100}})
 	}
-	ctx := context.Background()
-	var tr *obs.Trace
-	if *manifestOut != "" {
-		tr = obs.NewTrace("osnd")
-		ctx = tr.Context(ctx)
-	}
-
 	// Building the platform under the trace records the construction-time
 	// freeze (the read-plane snapshot) as its own phase, so the manifest
 	// separates freeze cost from serving; Instrument registers the
@@ -200,7 +208,8 @@ func main() {
 	for _, s := range platform.Schools() {
 		fmt.Printf("serving school %q (%s)\n", s.Name, s.City)
 	}
-	fmt.Printf("osnd: %s policy on %s (read plane frozen in %s)\n", pol.Name, *addr, platform.FreezeDuration().Round(time.Millisecond))
+	fmt.Printf("osnd: %s policy on %s (world %s in %s, read plane frozen in %s)\n", pol.Name, *addr,
+		worldVerb, worldDur.Round(time.Millisecond), platform.FreezeDuration().Round(time.Millisecond))
 	if lg != nil {
 		fmt.Printf("osnd: event log -> %s\n", *eventsOut)
 	}
@@ -276,7 +285,7 @@ func main() {
 	srv := serverCfg.HTTPServer(*addr, handler)
 
 	var metricsSrv *http.Server
-	if reg != nil {
+	if *metricsAddr != "" {
 		metricsSrv = &http.Server{
 			Addr:              *metricsAddr,
 			Handler:           metricsMux(reg),
@@ -341,9 +350,9 @@ func main() {
 	}
 }
 
-// writeManifest dumps the serve run's manifest: flags, the osn.freeze span
-// as a phase, and the final counter values (plane request totals, shard
-// contention, faults).
+// writeManifest dumps the serve run's manifest: flags, the worldgen.load
+// and osn.freeze spans as phases, and the final counter values (plane
+// request totals, shard contention, faults).
 func writeManifest(path string, tr *obs.Trace, reg *obs.Registry, params map[string]any) {
 	tr.Finish()
 	m := obs.NewManifest("osnd")

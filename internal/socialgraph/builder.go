@@ -218,6 +218,16 @@ func (f *Frozen) Equal(o *Frozen) bool {
 // offsets, rows sorted strictly ascending (no duplicates, no self-loops),
 // symmetry, edge-count consistency, and no adjacency on absent users. It
 // mirrors Graph.CheckInvariants for worlds that never had a mutable graph.
+//
+// Symmetry is checked in O(E) with one cursor per row, not one binary
+// search per entry. Rows are scanned in ascending u, so the users u < v
+// that list v arrive in ascending order, which is exactly the order of the
+// entries below v at the front of v's sorted row. Each entry v > u of row u
+// must therefore find u under v's cursor, which then advances one slot.
+// When the scan reaches row u itself, the cursor must have consumed exactly
+// u's entries below u. Together the two checks pair every entry with its
+// reverse one to one, with one random access per friendship; the only
+// extra memory is one int64 cursor per ID.
 func (f *Frozen) CheckInvariants() error {
 	n := len(f.present)
 	if len(f.offsets) != n+1 {
@@ -226,11 +236,17 @@ func (f *Frozen) CheckInvariants() error {
 	if f.offsets[0] != 0 || f.offsets[n] != int64(len(f.adj)) {
 		return fmt.Errorf("socialgraph: frozen offsets span [%d,%d], adj length %d", f.offsets[0], f.offsets[n], len(f.adj))
 	}
-	users := 0
+	// Every offset must be valid before the cursors index rows ahead of
+	// the scan.
 	for u := 0; u < n; u++ {
 		if f.offsets[u+1] < f.offsets[u] {
 			return fmt.Errorf("socialgraph: frozen offsets decrease at %d", u)
 		}
+	}
+	next := make([]int64, n)
+	copy(next, f.offsets)
+	users := 0
+	for u := 0; u < n; u++ {
 		row := f.adj[f.offsets[u]:f.offsets[u+1]]
 		if len(row) > 0 && !f.present[u] {
 			return fmt.Errorf("socialgraph: absent user %d has %d friends", u, len(row))
@@ -238,6 +254,7 @@ func (f *Frozen) CheckInvariants() error {
 		if f.present[u] {
 			users++
 		}
+		lower := f.offsets[u] // end of u's entries below u
 		for i, v := range row {
 			if int(v) < 0 || int(v) >= n {
 				return fmt.Errorf("socialgraph: frozen edge %d->%d outside ID space", u, v)
@@ -248,9 +265,19 @@ func (f *Frozen) CheckInvariants() error {
 			if i > 0 && row[i-1] >= v {
 				return fmt.Errorf("socialgraph: frozen row %d not strictly ascending at %d", u, i)
 			}
-			if !f.AreFriends(v, UserID(u)) {
+			if v < UserID(u) {
+				lower++
+				continue
+			}
+			if c := next[v]; c == f.offsets[v+1] || f.adj[c] != UserID(u) {
 				return fmt.Errorf("socialgraph: asymmetric frozen edge %d->%d", u, v)
 			}
+			next[v]++
+		}
+		// The row is sorted, so the cursor stopped at or before lower;
+		// an entry it did not reach has no reverse.
+		if c := next[u]; c != lower {
+			return fmt.Errorf("socialgraph: asymmetric frozen edge %d->%d", u, f.adj[c])
 		}
 	}
 	if users != f.users {

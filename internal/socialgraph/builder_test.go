@@ -2,6 +2,9 @@ package socialgraph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -146,7 +149,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := f.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrozenBinary(bytes.NewReader(buf.Bytes()))
+	got, err := ReadFrozenBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +172,7 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 
 	// Truncations at every prefix length must error, never panic.
 	for cut := 0; cut < len(valid); cut += 17 {
-		if _, err := ReadFrozenBinary(bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := ReadFrozenBinary(valid[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -179,7 +182,7 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 	for i := 0; i < len(valid); i += 13 {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
-		got, err := ReadFrozenBinary(bytes.NewReader(mut))
+		got, err := ReadFrozenBinary(mut)
 		if err == nil {
 			if got == nil {
 				t.Fatalf("flip at %d: nil snapshot without error", i)
@@ -187,7 +190,31 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 		}
 	}
 	// A huge claimed ID space must be rejected up front.
-	if _, err := ReadFrozenBinary(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})); err == nil {
+	if _, err := ReadFrozenBinary([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}); err == nil {
 		t.Fatal("oversized id space accepted")
+	}
+}
+
+// TestCodecAllocationBoundedByInput: a header whose degrees claim 16.7M
+// adjacency entries, backed by 8 KiB of input, must fail without
+// allocating anywhere near what the claim asks for.
+func TestCodecAllocationBoundedByInput(t *testing.T) {
+	const n = 4096
+	data := binary.AppendUvarint(nil, n)
+	data = append(data, bytes.Repeat([]byte{0xff}, n/8)...)
+	data = binary.AppendUvarint(data, n)         // users
+	data = binary.AppendUvarint(data, n*(n-1)/2) // edges
+	for u := 0; u < n; u++ {
+		data = binary.AppendUvarint(data, n-1) // degree
+	}
+	data = append(data, 1, 1, 1) // the first few row deltas, then EOF
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadFrozenBinary(data); !errors.Is(err, ErrCodec) {
+		t.Fatalf("lying degree header: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)); got > limit {
+		t.Fatalf("decode allocated %d bytes for %d input bytes (limit %d)", got, len(data), limit)
 	}
 }

@@ -71,20 +71,17 @@ func (f *Frozen) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ByteReader is the input the decoder needs: varints are read byte-wise,
-// bitmaps in bulk. *bufio.Reader and *bytes.Reader both satisfy it.
-type ByteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// ReadFrozenBinary decodes a snapshot written by WriteBinary. All length
-// prefixes are untrusted: slices grow as bytes actually arrive (every
-// decoded entry costs at least one input byte), so a lying header cannot
-// force allocation beyond a small multiple of the real input size. Any
-// structural violation returns an error wrapping ErrCodec.
-func ReadFrozenBinary(r ByteReader) (*Frozen, error) {
-	numIDs64, err := binary.ReadUvarint(r)
+// ReadFrozenBinary decodes a snapshot written by WriteBinary from the whole
+// of data, straight off the slice with binary.Uvarint. All length prefixes
+// are untrusted: every decoded entry costs at least one input byte, so the
+// present flags, offsets and adjacency are each sized once, capped at the
+// input's length, and a lying header cannot force allocation beyond a small
+// multiple of the real input size (at most 8 bytes each of present flags,
+// offsets and adjacency per input byte). Any structural violation, trailing
+// bytes included, returns an error wrapping ErrCodec.
+func ReadFrozenBinary(data []byte) (*Frozen, error) {
+	d := decoder{buf: data}
+	numIDs64, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("%w: id space: %v", ErrCodec, err)
 	}
@@ -93,31 +90,24 @@ func ReadFrozenBinary(r ByteReader) (*Frozen, error) {
 	}
 	n := int(numIDs64)
 
-	// Present bitmap, read in bounded chunks so the claimed ID space only
-	// costs memory once the bytes are really there.
-	present := make([]bool, 0, clampCap(n, 1<<16))
-	var chunk [8192]byte
-	for read := 0; read < (n+7)/8; {
-		want := (n+7)/8 - read
-		if want > len(chunk) {
-			want = len(chunk)
+	bitmap, err := d.bytes((n + 7) / 8)
+	if err != nil {
+		return nil, fmt.Errorf("%w: present bitmap: %v", ErrCodec, err)
+	}
+	present := make([]bool, n)
+	users := 0
+	for u := range present {
+		if bitmap[u/8]&(1<<(u%8)) != 0 {
+			present[u] = true
+			users++
 		}
-		if _, err := io.ReadFull(r, chunk[:want]); err != nil {
-			return nil, fmt.Errorf("%w: present bitmap: %v", ErrCodec, err)
-		}
-		for i := 0; i < want; i++ {
-			for b := 0; b < 8 && len(present) < n; b++ {
-				present = append(present, chunk[i]&(1<<b) != 0)
-			}
-		}
-		read += want
 	}
 
-	users64, err := binary.ReadUvarint(r)
+	users64, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("%w: user count: %v", ErrCodec, err)
 	}
-	edges64, err := binary.ReadUvarint(r)
+	edges64, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("%w: edge count: %v", ErrCodec, err)
 	}
@@ -125,9 +115,9 @@ func ReadFrozenBinary(r ByteReader) (*Frozen, error) {
 		return nil, fmt.Errorf("%w: edge count %d exceeds limit", ErrCodec, edges64)
 	}
 
-	offsets := make([]int64, 1, clampCap(n+1, 1<<16))
+	offsets := make([]int64, 1, min(n, d.remaining())+1)
 	for u := 0; u < n; u++ {
-		deg, err := binary.ReadUvarint(r)
+		deg, err := d.uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("%w: degree of %d: %v", ErrCodec, u, err)
 		}
@@ -144,11 +134,11 @@ func ReadFrozenBinary(r ByteReader) (*Frozen, error) {
 		return nil, fmt.Errorf("%w: degree sum %d != 2×%d edges", ErrCodec, total, edges64)
 	}
 
-	adj := make([]UserID, 0, clampCap64(total, 1<<16))
+	adj := make([]UserID, 0, min(total, int64(d.remaining())))
 	for u := 0; u < n; u++ {
 		prev := int64(-1)
 		for i := offsets[u]; i < offsets[u+1]; i++ {
-			delta, err := binary.ReadUvarint(r)
+			delta, err := d.uvarint()
 			if err != nil {
 				return nil, fmt.Errorf("%w: row of %d: %v", ErrCodec, u, err)
 			}
@@ -168,12 +158,8 @@ func ReadFrozenBinary(r ByteReader) (*Frozen, error) {
 			prev = v
 		}
 	}
-
-	users := 0
-	for _, p := range present {
-		if p {
-			users++
-		}
+	if rest := d.remaining(); rest != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, rest)
 	}
 	if users != int(users64) {
 		return nil, fmt.Errorf("%w: user count %d != bitmap %d", ErrCodec, users64, users)
@@ -187,23 +173,34 @@ func ReadFrozenBinary(r ByteReader) (*Frozen, error) {
 	}, nil
 }
 
-// clampCap caps an untrusted size claim for an initial slice capacity.
-func clampCap(n, limit int) int {
-	if n < 0 {
-		return 0
-	}
-	if n > limit {
-		return limit
-	}
-	return n
+// decoder walks an in-memory encoding.
+type decoder struct {
+	buf []byte
+	pos int
 }
 
-func clampCap64(n int64, limit int) int {
-	if n < 0 {
-		return 0
+func (d *decoder) remaining() int { return len(d.buf) - d.pos }
+
+// uvarint decodes the next varint; it reports io.ErrUnexpectedEOF when the
+// input ends inside (or before) one and an overflow past 64 bits as such.
+func (d *decoder) uvarint() (uint64, error) {
+	v, k := binary.Uvarint(d.buf[d.pos:])
+	if k <= 0 {
+		if k == 0 {
+			return 0, io.ErrUnexpectedEOF
+		}
+		return 0, errors.New("varint overflows 64 bits")
 	}
-	if n > int64(limit) {
-		return limit
+	d.pos += k
+	return v, nil
+}
+
+// bytes returns the next k bytes without copying.
+func (d *decoder) bytes(k int) ([]byte, error) {
+	if k > d.remaining() {
+		return nil, io.ErrUnexpectedEOF
 	}
-	return int(n)
+	b := d.buf[d.pos : d.pos+k]
+	d.pos += k
+	return b, nil
 }

@@ -2,8 +2,14 @@ package worldgen
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"slices"
+	"strings"
 	"testing"
+
+	"hsprofiler/internal/socialgraph"
 )
 
 // FuzzReadSnapshot hardens the binary loader against hostile or damaged
@@ -49,6 +55,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	// Oversized people-count claim inside an otherwise plausible meta
 	// section header.
 	f.Add([]byte("HSWB\x02\x01\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x01"))
+	// A graph section that decodes cleanly under a valid checksum but is
+	// asymmetric, so only the invariant check rejects it.
+	f.Add(asymmetricSnapshot(f, w))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
@@ -82,15 +91,27 @@ func TestReadBinaryErrorsAreTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
+	// The graph section holds the CSR codec bytes verbatim.
+	var graph bytes.Buffer
+	if err := w.Frozen().WriteBinary(&graph); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		data []byte
+		// codec marks failures inside the graph codec, which must also
+		// surface as socialgraph.ErrCodec.
+		codec bool
+		// msg, when set, must appear in the error.
+		msg string
 	}{
-		{"empty", nil},
-		{"bad magic", []byte("XXXX....")},
-		{"version skew", append(append([]byte(nil), valid[:4]...), append([]byte{9}, valid[5:]...)...)},
-		{"truncated", valid[:len(valid)/3]},
-		{"checksum", flipByte(valid, len(valid)/2)},
+		{name: "empty"},
+		{name: "bad magic", data: []byte("XXXX....")},
+		{name: "version skew", data: append(append([]byte(nil), valid[:4]...), append([]byte{9}, valid[5:]...)...)},
+		{name: "truncated", data: valid[:len(valid)/3]},
+		{name: "checksum", data: flipByte(valid, len(valid)/2)},
+		{name: "graph codec", data: replaceSection(t, valid, secGraph, append(graph.Bytes(), 0)), codec: true},
+		{name: "asymmetric graph", data: asymmetricSnapshot(t, w), msg: "asymmetric"},
 	} {
 		_, err := ReadBinary(bytes.NewReader(tc.data))
 		if err == nil {
@@ -101,7 +122,93 @@ func TestReadBinaryErrorsAreTyped(t *testing.T) {
 		if !errors.Is(err, ErrSnapshot) {
 			t.Fatalf("%s: error not typed ErrSnapshot: %v", tc.name, err)
 		}
+		if tc.codec && !errors.Is(err, socialgraph.ErrCodec) {
+			t.Fatalf("%s: error not typed ErrCodec: %v", tc.name, err)
+		}
+		if !strings.Contains(err.Error(), tc.msg) {
+			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.msg)
+		}
 	}
+}
+
+// asymmetricSnapshot is w's snapshot with one friendship made one-sided: a
+// user's first friend is swapped for a stranger in the graph section, whose
+// checksum is recomputed. The section still decodes cleanly (rows stay
+// ascending, counts stay consistent); only the symmetry invariant fails.
+func asymmetricSnapshot(tb testing.TB, w *World) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := w.WriteBinary(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	f := w.Frozen()
+	n := f.NumIDs()
+	rows := make([][]socialgraph.UserID, n)
+	bitmap := make([]byte, (n+7)/8)
+	redirected := false
+	for u := range rows {
+		id := socialgraph.UserID(u)
+		rows[u] = slices.Clone(f.Friends(id))
+		if f.HasUser(id) {
+			bitmap[u/8] |= 1 << (u % 8)
+		}
+		if redirected || len(rows[u]) == 0 {
+			continue
+		}
+		for s := socialgraph.UserID(0); int(s) < n; s++ {
+			if _, found := slices.BinarySearch(rows[u], s); s != id && !found {
+				rows[u] = append(rows[u][1:], s)
+				slices.Sort(rows[u])
+				redirected = true
+				break
+			}
+		}
+	}
+	if !redirected {
+		tb.Fatal("no row to redirect")
+	}
+	// The socialgraph CSR codec: id space, present bitmap, user and edge
+	// counts, degrees, then each row delta-encoded.
+	graph := binary.AppendUvarint(nil, uint64(n))
+	graph = append(graph, bitmap...)
+	graph = binary.AppendUvarint(graph, uint64(f.NumUsers()))
+	graph = binary.AppendUvarint(graph, uint64(f.NumEdges()))
+	for _, row := range rows {
+		graph = binary.AppendUvarint(graph, uint64(len(row)))
+	}
+	for _, row := range rows {
+		prev := socialgraph.UserID(0)
+		for _, v := range row {
+			graph = binary.AppendUvarint(graph, uint64(v-prev))
+			prev = v
+		}
+	}
+	return replaceSection(tb, buf.Bytes(), secGraph, graph)
+}
+
+// replaceSection returns snap with section id's payload swapped for payload
+// under a freshly computed checksum.
+func replaceSection(tb testing.TB, snap []byte, id byte, payload []byte) []byte {
+	tb.Helper()
+	pos := len(snapshotMagic) + 1 // magic, one-byte version varint
+	for pos < len(snap) {
+		length, k := binary.Uvarint(snap[pos+1:])
+		if k <= 0 || pos+1+k+int(length)+4 > len(snap) {
+			tb.Fatalf("malformed section at byte %d", pos)
+		}
+		end := pos + 1 + k + int(length) + 4 // id, length, payload, CRC
+		if snap[pos] == id {
+			out := append([]byte(nil), snap[:pos]...)
+			out = append(out, id)
+			out = binary.AppendUvarint(out, uint64(len(payload)))
+			out = append(out, payload...)
+			out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+			return append(out, snap[end:]...)
+		}
+		pos = end
+	}
+	tb.Fatalf("no section %#x", id)
+	return nil
 }
 
 func flipByte(b []byte, i int) []byte {

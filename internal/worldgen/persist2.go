@@ -250,13 +250,9 @@ func ReadBinary(in io.Reader) (*World, error) {
 	if payload, err = readSection(br, secGraph); err != nil {
 		return nil, err
 	}
-	r = bytes.NewReader(payload)
-	frozen, err := socialgraph.ReadFrozenBinary(r)
+	frozen, err := socialgraph.ReadFrozenBinary(payload)
 	if err != nil {
-		return nil, fmt.Errorf("%w: graph: %v", ErrSnapshot, err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in graph section", ErrSnapshot, r.Len())
+		return nil, fmt.Errorf("%w: graph: %w", ErrSnapshot, err)
 	}
 	if frozen.NumIDs() > nPeople {
 		return nil, fmt.Errorf("%w: graph spans %d IDs, world has %d people", ErrSnapshot, frozen.NumIDs(), nPeople)
@@ -284,7 +280,7 @@ func ReadBinary(in io.Reader) (*World, error) {
 	}
 
 	if err := w.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("worldgen: binary snapshot fails invariants: %w", err)
+		return nil, fmt.Errorf("%w: fails invariants: %w", ErrSnapshot, err)
 	}
 	return w, nil
 }

@@ -221,3 +221,25 @@ func TestWriteFileAtomic(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkReadBinary times snapshot decode plus validation (ReadBinary
+// ends in World.CheckInvariants), the layer under every osnd -world start.
+func BenchmarkReadBinary(b *testing.B) {
+	w, err := GenerateParallel(TinyConfig(), 1, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w.WriteBinary(&buf); err != nil {
+		b.Fatal(err)
+	}
+	snap := buf.Bytes()
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadBinary(bytes.NewReader(snap)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
